@@ -521,42 +521,70 @@ func BenchmarkTraceSink(b *testing.B) {
 	})
 }
 
+// BenchmarkStepInstrumented cycles through sessions of
+// stepBenchHorizon intervals (one simulated day of 5-minute
+// intervals), timing all but the first stepBenchSettle: the prologue
+// interval, two settling intervals and the first regroup (after
+// interval 3 at the default RegroupEvery of 4). A -benchtime 1x run
+// thus times one plain interval.
+const (
+	stepBenchHorizon = 288
+	stepBenchSettle  = 4
+)
+
 // BenchmarkStepInstrumented measures the marginal cost of a mounted
 // metrics registry on the steady-state Step path: "off" runs a bare
-// session, "on" the same session with WithMetrics. The prologue
-// (warm-up, training, group build) happens outside the timer; each
-// iteration is one post-prologue interval. make bench-check holds the
-// on/off pair within 2% wall and equal allocations via the
-// bench_compare.py overhead gate.
+// session, "on" the same session with WithMetrics. Each iteration is
+// one post-prologue interval of a fixed stepBenchHorizon-interval
+// session; when a session runs out, a fresh one is opened outside the
+// timer, so the per-op cost does not depend on b.N. The prologue
+// (warm-up, training, group build) and the settling intervals also
+// happen outside the timer. make bench-check holds the on/off pair
+// within 2% wall and equal allocations via the bench_compare.py
+// overhead gate.
 func BenchmarkStepInstrumented(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		metrics bool
 	}{{"off", false}, {"on", true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			cfg := benchConfig(42)
-			cfg.NumIntervals = b.N + 3
-			opts := []SessionOption{WithSink(DiscardSink{})}
-			if bc.metrics {
-				opts = append(opts, WithMetrics(NewMetricsRegistry()))
-			}
-			s, err := Open(cfg, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			// Prologue plus two settling intervals outside the timer.
-			for i := 0; i < 3; i++ {
-				if _, serr := s.Step(context.Background()); serr != nil {
-					b.Fatal(serr)
+			var s *SimSession
+			left := 0
+			open := func() {
+				if s != nil {
+					s.Close()
 				}
+				cfg := benchConfig(42)
+				cfg.NumIntervals = stepBenchHorizon
+				opts := []SessionOption{WithSink(DiscardSink{})}
+				if bc.metrics {
+					opts = append(opts, WithMetrics(NewMetricsRegistry()))
+				}
+				var err error
+				if s, err = Open(cfg, opts...); err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < stepBenchSettle; i++ {
+					if _, serr := s.Step(context.Background()); serr != nil {
+						b.Fatal(serr)
+					}
+				}
+				left = stepBenchHorizon - stepBenchSettle
 			}
+			open()
+			defer func() { s.Close() }()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if left == 0 {
+					b.StopTimer()
+					open()
+					b.StartTimer()
+				}
 				if _, serr := s.Step(context.Background()); serr != nil {
 					b.Fatal(serr)
 				}
+				left--
 			}
 		})
 	}

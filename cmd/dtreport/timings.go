@@ -79,7 +79,9 @@ func timingsFailureTable(w io.Writer, snap *obs.Snapshot) error {
 }
 
 // timingsStageTable renders the stage-duration histogram family:
-// one row per (stage, cell) series with count, total and mean.
+// one row per (stage, cell) series with count, total and mean, plus a
+// worker column when any series carries a worker label (distributed
+// runs time coord_boundary per worker).
 func timingsStageTable(w io.Writer, snap *obs.Snapshot) error {
 	fam := snap.Family(obs.StageFamily)
 	if fam == nil || len(fam.Series) == 0 {
@@ -87,12 +89,21 @@ func timingsStageTable(w io.Writer, snap *obs.Snapshot) error {
 		return nil
 	}
 	fmt.Fprintf(w, "## Stage timings\n\n")
-	t, err := cli.NewTable("stage", "cell", "count", "total", "mean")
+	withWorker := false
+	for i := range fam.Series {
+		withWorker = withWorker || fam.Series[i].Label("worker") != ""
+	}
+	cols := []string{"stage", "cell", "count", "total", "mean"}
+	if withWorker {
+		cols = []string{"stage", "cell", "worker", "count", "total", "mean"}
+	}
+	t, err := cli.NewTable(cols...)
 	if err != nil {
 		return err
 	}
 	// Group by stage (prologue first, then interval phases, then the
-	// rest alphabetically), cells numerically within a stage.
+	// rest alphabetically), cells then workers numerically within a
+	// stage.
 	series := append([]obs.Series(nil), fam.Series...)
 	sort.SliceStable(series, func(i, j int) bool {
 		si, sj := series[i].Label("stage"), series[j].Label("stage")
@@ -101,20 +112,25 @@ func timingsStageTable(w io.Writer, snap *obs.Snapshot) error {
 		}
 		ci, _ := strconv.Atoi(series[i].Label("cell"))
 		cj, _ := strconv.Atoi(series[j].Label("cell"))
-		return ci < cj
+		if ci != cj {
+			return ci < cj
+		}
+		wi, _ := strconv.Atoi(series[i].Label("worker"))
+		wj, _ := strconv.Atoi(series[j].Label("worker"))
+		return wi < wj
 	})
 	for _, s := range series {
-		cell := s.Label("cell")
-		if cell == "" {
-			cell = "-"
-		}
 		total := time.Duration(s.Sum * float64(time.Second))
 		mean := time.Duration(0)
 		if s.Count > 0 {
 			mean = total / time.Duration(s.Count)
 		}
-		if err := t.AddRow(s.Label("stage"), cell, s.Count,
-			formatDur(total), formatDur(mean)); err != nil {
+		row := []any{s.Label("stage"), labelOrDash(s.Label("cell"))}
+		if withWorker {
+			row = append(row, labelOrDash(s.Label("worker")))
+		}
+		row = append(row, s.Count, formatDur(total), formatDur(mean))
+		if err := t.AddRow(row...); err != nil {
 			return err
 		}
 	}
@@ -123,6 +139,14 @@ func timingsStageTable(w io.Writer, snap *obs.Snapshot) error {
 	}
 	fmt.Fprintln(w)
 	return nil
+}
+
+// labelOrDash renders an absent label as "-".
+func labelOrDash(v string) string {
+	if v == "" {
+		return "-"
+	}
+	return v
 }
 
 // stageRank orders stage names for display: the step envelope, the
@@ -161,11 +185,7 @@ func timingsCacheTable(w io.Writer, snap *obs.Snapshot) error {
 		if h+m > 0 {
 			rate = cli.Percent(h / (h + m))
 		}
-		label := cell
-		if label == "" {
-			label = "-"
-		}
-		if err := t.AddRow(label, uint64(h), uint64(m), uint64(e), rate); err != nil {
+		if err := t.AddRow(labelOrDash(cell), uint64(h), uint64(m), uint64(e), rate); err != nil {
 			return err
 		}
 	}

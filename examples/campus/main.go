@@ -78,14 +78,11 @@ func run() error {
 			if aerr != nil {
 				return aerr
 			}
-			twin.Tick()
+			// One lock per tick: advance the clock and collect the
+			// channel, location and preference samples that are due.
 			snr := link.Sample(pos)
-			if _, cerr := twin.CollectChannel(channel.CQI(snr)); cerr != nil {
+			if cerr := twin.CollectTick(channel.CQI(snr), pos.X, pos.Y, pref); cerr != nil {
 				return cerr
-			}
-			twin.CollectLocation(pos.X, pos.Y)
-			if _, perr := twin.CollectPreference(pref); perr != nil {
-				return perr
 			}
 			// One synthetic view per tick keeps the watch series hot.
 			watch := 30 * pref[fav.Index()] * 2

@@ -40,12 +40,16 @@ type SwipeDistribution struct {
 	Samples [video.NumCategories]int
 }
 
-// GroupObservation is one member's view event, as read back from UDTs.
+// GroupObservation is one member's view events of one category, as
+// read back from UDTs.
 type GroupObservation struct {
 	Category video.Category
 	// WatchFraction in [0,1] of the video watched before the swipe
 	// (1 = watched to the end).
 	WatchFraction float64
+	// Weight is the number of views the observation stands for; the
+	// zero value counts as one view.
+	Weight int
 }
 
 // NewSwipeDistribution estimates the distribution from observations.
@@ -68,7 +72,14 @@ func NewSwipeDistribution(obs []GroupObservation) (*SwipeDistribution, error) {
 		if o.WatchFraction < 0 || o.WatchFraction > 1 || math.IsNaN(o.WatchFraction) {
 			return nil, fmt.Errorf("watch fraction %v: %w", o.WatchFraction, ErrInput)
 		}
-		hists[idx].Add(o.WatchFraction)
+		n := o.Weight
+		switch {
+		case n < 0:
+			return nil, fmt.Errorf("observation weight %d: %w", n, ErrInput)
+		case n == 0:
+			n = 1
+		}
+		hists[idx].AddN(o.WatchFraction, n)
 	}
 	var d SwipeDistribution
 	for i, h := range hists {
@@ -206,9 +217,10 @@ type GroupProfile struct {
 }
 
 // ObservationsFromTwins converts the twins' accumulated per-category
-// engagement fractions into per-view observations for the swipe
-// distribution: each user contributes, per category, their mean
-// watched fraction weighted by their view count.
+// engagement fractions into observations for the swipe distribution:
+// each user contributes, per viewed category, one observation of their
+// mean watched fraction weighted by their view count, so the result
+// stays bounded by users × categories however long the counters run.
 func ObservationsFromTwins(twins []*udt.Twin) ([]GroupObservation, error) {
 	var obs []GroupObservation
 	for _, tw := range twins {
@@ -225,10 +237,7 @@ func ObservationsFromTwins(twins []*udt.Twin) ([]GroupObservation, error) {
 			if frac < 0 {
 				frac = 0
 			}
-			cat := video.AllCategories()[ci]
-			for v := 0; v < n; v++ {
-				obs = append(obs, GroupObservation{Category: cat, WatchFraction: frac})
-			}
+			obs = append(obs, GroupObservation{Category: video.AllCategories()[ci], WatchFraction: frac, Weight: n})
 		}
 	}
 	return obs, nil
@@ -298,36 +307,72 @@ func BuildGroupProfile(twins []*udt.Twin, cat *video.Catalog, topN int) (*GroupP
 }
 
 // rankByScore returns the topN videos by popularity × category
-// preference using partial selection.
+// preference (pref non-negative). Under a fixed category weight the
+// score falls along each Catalog.RankedByCategory list, so a topN-step
+// merge of the list heads reads O(topN) videos, not the catalog.
+//
+// The order, ties included, is that of a partial selection sort over
+// the catalog in ID order: step i takes the first maximal score by
+// position and swaps it with the video at position i. Those swaps
+// decide the order of equal scores, so the merge tracks the positions
+// they change and, among the maximal scores, takes the lowest one.
 func rankByScore(cat *video.Catalog, pref behavior.Preference, topN int) []*video.Video {
-	type scored struct {
-		v *video.Video
-		s float64
+	n := cat.Size()
+	if topN > n {
+		topN = n
 	}
-	all := make([]scored, 0, cat.Size())
-	for _, v := range cat.Videos {
-		idx := v.Category.Index()
-		if idx < 0 {
-			continue
-		}
-		all = append(all, scored{v: v, s: cat.Popularity(v.ID) * pref[idx]})
+	var lists [video.NumCategories][]*video.Video
+	for ci, c := range video.AllCategories() {
+		lists[ci] = cat.RankedByCategory(c)
 	}
-	// Partial selection sort for topN (topN << catalog size).
-	if topN > len(all) {
-		topN = len(all)
-	}
-	for i := 0; i < topN; i++ {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			if all[j].s > all[best].s {
-				best = j
+	score := func(ci int, v *video.Video) float64 { return cat.Popularity(v.ID) * pref[ci] }
+	// moved[id] is 1 + the position a swap moved video id to (0: still
+	// at position id; -1: taken). at[p] is 1 + the video a swap left at
+	// position p (0: video p).
+	moved := make([]int32, n)
+	at := make([]int32, n)
+	var head [video.NumCategories]int
+	out := make([]*video.Video, topN)
+	for i := range out {
+		best := math.Inf(-1)
+		for ci, list := range lists {
+			for head[ci] < len(list) && moved[list[head[ci]].ID] < 0 {
+				head[ci]++
+			}
+			if head[ci] < len(list) {
+				best = math.Max(best, score(ci, list[head[ci]]))
 			}
 		}
-		all[i], all[best] = all[best], all[i]
-	}
-	out := make([]*video.Video, topN)
-	for i := 0; i < topN; i++ {
-		out[i] = all[i].v
+		var pick *video.Video
+		pickPos := n
+		for ci, list := range lists {
+			for _, v := range list[head[ci]:] {
+				m := moved[v.ID]
+				if m < 0 {
+					continue
+				}
+				if score(ci, v) != best {
+					break
+				}
+				pos := v.ID
+				if m > 0 {
+					pos = int(m) - 1
+				}
+				if pos < pickPos {
+					pick, pickPos = v, pos
+				}
+			}
+		}
+		out[i] = pick
+		occupant := i
+		if a := at[i]; a > 0 {
+			occupant = int(a) - 1
+		}
+		if occupant != pick.ID {
+			moved[occupant] = int32(pickPos) + 1
+			at[pickPos] = int32(occupant) + 1
+		}
+		moved[pick.ID] = -1
 	}
 	return out
 }

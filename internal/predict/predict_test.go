@@ -252,13 +252,196 @@ func TestObservationsFromTwins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 views per twin.
+	// One observation per (twin, viewed category): 2 categories per twin.
 	if len(obs) != 6 {
 		t.Fatalf("%d observations", len(obs))
 	}
 	for _, o := range obs {
 		if o.WatchFraction < 0 || o.WatchFraction > 1 {
 			t.Fatalf("fraction %v", o.WatchFraction)
+		}
+	}
+	// More views of a category raise its weight, not the observation
+	// count, and the weights account for every view.
+	for i := 0; i < 4; i++ {
+		if _, err := twins[0].CollectView(video.News, 20, 0.6, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obs, err = ObservationsFromTwins(twins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obs) != 6 {
+		t.Fatalf("%d observations after more views", len(obs))
+	}
+	var weights, views int
+	for _, o := range obs {
+		weights += o.Weight
+	}
+	for _, tw := range twins {
+		for _, n := range tw.ViewsByCategory() {
+			views += n
+		}
+	}
+	if weights != views || views != 10 {
+		t.Fatalf("sum of weights %d, views %d, want 10", weights, views)
+	}
+}
+
+// A weighted observation must build exactly the distribution of its
+// expansion into Weight unit observations: bitwise-equal CDFs and
+// equal sample counts.
+func TestSwipeDistributionWeightedEqualsExpanded(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var weighted, expanded []GroupObservation
+		for i := rng.Intn(40); i >= 0; i-- {
+			o := GroupObservation{
+				Category:      video.AllCategories()[rng.Intn(video.NumCategories)],
+				WatchFraction: rng.Float64(),
+				Weight:        rng.Intn(30),
+			}
+			switch rng.Intn(4) {
+			case 0:
+				o.WatchFraction = 1
+			case 1:
+				o.WatchFraction = float64(rng.Intn(SwipeBins+1)) / SwipeBins
+			}
+			weighted = append(weighted, o)
+			n := max(o.Weight, 1)
+			for j := 0; j < n; j++ {
+				expanded = append(expanded, GroupObservation{Category: o.Category, WatchFraction: o.WatchFraction})
+			}
+		}
+		dw, err := NewSwipeDistribution(weighted)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		de, err := NewSwipeDistribution(expanded)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if dw.Samples != de.Samples {
+			return false
+		}
+		for c := range dw.CDF {
+			for i := range dw.CDF[c] {
+				if math.Float64bits(dw.CDF[c][i]) != math.Float64bits(de.CDF[c][i]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	bad := []GroupObservation{{Category: video.News, WatchFraction: 0.5, Weight: -1}}
+	if _, err := NewSwipeDistribution(bad); !errors.Is(err, ErrInput) {
+		t.Fatalf("negative weight: want ErrInput, got %v", err)
+	}
+}
+
+// selectionRankByScore is the reference ranking the merge in
+// rankByScore replaces: a partial selection sort over the whole
+// catalog, whose swaps decide the order of equal scores.
+func selectionRankByScore(cat *video.Catalog, pref behavior.Preference, topN int) []*video.Video {
+	type scored struct {
+		v *video.Video
+		s float64
+	}
+	all := make([]scored, 0, cat.Size())
+	for _, v := range cat.Videos {
+		idx := v.Category.Index()
+		if idx < 0 {
+			continue
+		}
+		all = append(all, scored{v: v, s: cat.Popularity(v.ID) * pref[idx]})
+	}
+	if topN > len(all) {
+		topN = len(all)
+	}
+	for i := 0; i < topN; i++ {
+		best := i
+		for j := i + 1; j < len(all); j++ {
+			if all[j].s > all[best].s {
+				best = j
+			}
+		}
+		all[i], all[best] = all[best], all[i]
+	}
+	out := make([]*video.Video, topN)
+	for i := 0; i < topN; i++ {
+		out[i] = all[i].v
+	}
+	return out
+}
+
+// The top-N merge must reproduce the selection sort exactly, equal
+// scores included: zero preference components (whole categories tie
+// at 0), equal components, steep exponents whose tail probabilities
+// round to equal or even rising values, and topN at or past the
+// catalog size.
+func TestRankByScoreMatchesSelectionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	exponents := []float64{0.9, 0.3, 1.5, 3, 8, 20}
+	for trial := 0; trial < 400; trial++ {
+		n, exponent := 1+rng.Intn(300), exponents[rng.Intn(len(exponents))]
+		if trial%50 == 0 {
+			// At this size the s=3 tail probabilities rise through
+			// rounding, so the rankings are not in ID order.
+			n, exponent = 20000, 3
+		}
+		var weights []float64
+		if rng.Intn(3) == 0 {
+			weights = []float64{rng.Float64(), rng.Float64(), 0.01, rng.Float64(), 5}
+		}
+		cat, err := video.NewCatalog(video.CatalogConfig{
+			NumVideos:       n,
+			ZipfExponent:    exponent,
+			CategoryWeights: weights,
+		}, rand.New(rand.NewSource(int64(trial))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pref := make(behavior.Preference, video.NumCategories)
+		switch trial % 4 {
+		case 0: // random with zero components
+			for i := range pref {
+				if rng.Intn(3) > 0 {
+					pref[i] = rng.Float64()
+				}
+			}
+		case 1: // equal components
+			for i := range pref {
+				pref[i] = 0.2
+			}
+		case 2: // one category only
+			pref[rng.Intn(video.NumCategories)] = 1
+		default: // two equal, the rest zero or random
+			a, b := rng.Intn(video.NumCategories), rng.Intn(video.NumCategories)
+			pref[a], pref[b] = 0.4, 0.4
+			pref[rng.Intn(video.NumCategories)] += rng.Float64() * 0.2
+		}
+		topNs := []int{1, 1 + rng.Intn(60), n, n + 7}
+		if n > 1000 {
+			topNs = []int{50, 400}
+		}
+		for _, topN := range topNs {
+			got := rankByScore(cat, pref, topN)
+			want := selectionRankByScore(cat, pref, topN)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d topN %d: %d videos, want %d", trial, topN, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d (n=%d pref=%v topN=%d): rank %d is video %d, want %d",
+						trial, n, pref, topN, i, got[i].ID, want[i].ID)
+				}
+			}
 		}
 	}
 }

@@ -766,13 +766,8 @@ func (s *Simulation) collectTicks(ctx context.Context) error {
 			u.meanSNR.Add(snr)
 			u.meanX.Add(pos.X)
 			u.meanY.Add(pos.Y)
-			u.twin.Tick()
-			if _, err := u.twin.CollectChannel(channel.CQI(snr)); err != nil {
-				return fmt.Errorf("user %d channel: %w", u.id, err)
-			}
-			u.twin.CollectLocation(pos.X, pos.Y)
-			if _, err := u.twin.CollectPreference(u.profile.Pref); err != nil {
-				return fmt.Errorf("user %d preference: %w", u.id, err)
+			if err := u.twin.CollectTick(channel.CQI(snr), pos.X, pos.Y, u.profile.Pref); err != nil {
+				return fmt.Errorf("user %d collect: %w", u.id, err)
 			}
 		}
 		return nil

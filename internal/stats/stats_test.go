@@ -247,6 +247,47 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// AddN(x, n) must leave the histogram exactly as n calls of Add(x),
+// clamped observations included, and ignore n <= 0.
+func TestHistogramAddN(t *testing.T) {
+	weighted, err := NewHistogram(0, 10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expanded, err := NewHistogram(0, 10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		x float64
+		n int
+	}{{-3, 2}, {0, 1}, {1.9, 4}, {5, 0}, {7.5, -2}, {9.9, 3}, {42, 5}, {10, 1}} {
+		weighted.AddN(c.x, c.n)
+		for i := 0; i < c.n; i++ {
+			expanded.Add(c.x)
+		}
+	}
+	if weighted.Total() != expanded.Total() || weighted.Total() != 16 {
+		t.Fatalf("totals %d / %d, want 16", weighted.Total(), expanded.Total())
+	}
+	for i := range weighted.Counts {
+		if weighted.Counts[i] != expanded.Counts[i] {
+			t.Fatalf("counts %v, want %v", weighted.Counts, expanded.Counts)
+		}
+	}
+	wc, ec := weighted.CDF(), expanded.CDF()
+	for i := range wc {
+		if math.Float64bits(wc[i]) != math.Float64bits(ec[i]) {
+			t.Fatalf("cdf %v, want %v", wc, ec)
+		}
+	}
+	// -3 clamps into bin 0 (with 0 and 1.9) and 42 into bin 4 (with 9.9
+	// and 10); the n <= 0 calls add nothing.
+	if weighted.Counts[0] != 7 || weighted.Counts[4] != 9 || weighted.Counts[2] != 0 || weighted.Counts[3] != 0 {
+		t.Fatalf("counts %v", weighted.Counts)
+	}
+}
+
 func TestHistogramEmptyPMF(t *testing.T) {
 	h, err := NewHistogram(0, 1, 3)
 	if err != nil {

@@ -84,15 +84,15 @@ func (t *Twin) Snapshot() *Snapshot {
 		ViewsByCat:  t.viewsByCat[:],
 		Swipes:      t.swipes,
 		Views:       t.views,
-		Staleness:   make(map[string]int, len(t.staleness)),
+		Staleness:   make(map[string]int, len(attributes)),
 	}
 	// Copy the array-backed slices so the snapshot does not alias the
 	// twin's state.
 	s.WatchByCat = append([]float64(nil), s.WatchByCat...)
 	s.EngageByCat = append([]float64(nil), s.EngageByCat...)
 	s.ViewsByCat = append([]int(nil), s.ViewsByCat...)
-	for a, v := range t.staleness {
-		s.Staleness[a.String()] = v
+	for _, a := range attributes {
+		s.Staleness[a.String()] = t.staleness[a]
 	}
 	return s
 }
@@ -132,11 +132,9 @@ func Restore(s *Snapshot) (*Twin, error) {
 	copy(t.viewsByCat[:], s.ViewsByCat)
 	t.swipes = s.Swipes
 	t.views = s.Views
-	for name, v := range s.Staleness {
-		for a := range t.staleness {
-			if a.String() == name {
-				t.staleness[a] = v
-			}
+	for _, a := range attributes {
+		if v, ok := s.Staleness[a.String()]; ok {
+			t.staleness[a] = v
 		}
 	}
 	return t, nil

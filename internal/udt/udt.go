@@ -30,6 +30,9 @@ const (
 	AttrPreference                      // preference vector snapshots
 )
 
+// attributes lists every Attribute; staleness is indexed by them.
+var attributes = [...]Attribute{AttrChannel, AttrLocation, AttrWatch, AttrPreference}
+
 // String implements fmt.Stringer.
 func (a Attribute) String() string {
 	switch a {
@@ -169,7 +172,7 @@ type Twin struct {
 	views       int
 
 	ticks     int
-	staleness map[Attribute]int
+	staleness [AttrPreference + 1]int // by Attribute; slot 0 unused
 }
 
 // NewTwin constructs a twin for the user.
@@ -187,9 +190,6 @@ func NewTwin(userID int, cfg Config) (*Twin, error) {
 		watch:  newRing(c.HistoryLen),
 		engage: newRing(c.HistoryLen),
 		pref:   behavior.NewUniformPreference(),
-		staleness: map[Attribute]int{
-			AttrChannel: 0, AttrLocation: 0, AttrWatch: 0, AttrPreference: 0,
-		},
 	}, nil
 }
 
@@ -197,10 +197,37 @@ func NewTwin(userID int, cfg Config) (*Twin, error) {
 func (t *Twin) Tick() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.tickLocked()
+}
+
+func (t *Twin) tickLocked() {
 	t.ticks++
-	for a := range t.staleness {
+	for _, a := range attributes {
 		t.staleness[a]++
 	}
+}
+
+// CollectTick is Tick followed by CollectChannel, CollectLocation and
+// CollectPreference under a single lock: the per-tick path of the BS
+// collectors. Validation and due periods are those of the four calls;
+// an invalid cqi stops after the tick, an invalid preference after
+// the location, as the sequence would.
+func (t *Twin) CollectTick(cqi int, x, y float64, p behavior.Preference) error {
+	cqiErr := validCQI(cqi)
+	prefErr := p.Validate()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.tickLocked()
+	if cqiErr != nil {
+		return cqiErr
+	}
+	t.collectChannelLocked(cqi)
+	t.collectLocationLocked(x, y)
+	if prefErr != nil {
+		return prefErr
+	}
+	t.collectPreferenceLocked(p)
+	return nil
 }
 
 // Ticks returns the collection clock.
@@ -212,6 +239,9 @@ func (t *Twin) Ticks() int {
 
 // Staleness returns ticks since the attribute was last accepted.
 func (t *Twin) Staleness(a Attribute) int {
+	if a < AttrChannel || a > AttrPreference {
+		return 0
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.staleness[a]
@@ -224,23 +254,38 @@ func (t *Twin) due(period int) bool { return t.ticks%period == 0 }
 // CollectChannel records a CQI sample if the channel period is due.
 // Returns whether the sample was accepted.
 func (t *Twin) CollectChannel(cqi int) (bool, error) {
-	if cqi < 1 || cqi > 15 {
-		return false, fmt.Errorf("cqi %d: %w", cqi, ErrParam)
+	if err := validCQI(cqi); err != nil {
+		return false, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.collectChannelLocked(cqi), nil
+}
+
+func validCQI(cqi int) error {
+	if cqi < 1 || cqi > 15 {
+		return fmt.Errorf("cqi %d: %w", cqi, ErrParam)
+	}
+	return nil
+}
+
+func (t *Twin) collectChannelLocked(cqi int) bool {
 	if !t.due(t.cfg.ChannelEvery) {
-		return false, nil
+		return false
 	}
 	t.cqi.add(float64(cqi))
 	t.staleness[AttrChannel] = 0
-	return true, nil
+	return true
 }
 
 // CollectLocation records an (x, y) sample if due.
 func (t *Twin) CollectLocation(x, y float64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.collectLocationLocked(x, y)
+}
+
+func (t *Twin) collectLocationLocked(x, y float64) bool {
 	if !t.due(t.cfg.LocationEvery) {
 		return false
 	}
@@ -288,12 +333,18 @@ func (t *Twin) CollectPreference(p behavior.Preference) (bool, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.collectPreferenceLocked(p), nil
+}
+
+// collectPreferenceLocked copies a validated p into the twin's own
+// preference slice, which no reader aliases.
+func (t *Twin) collectPreferenceLocked(p behavior.Preference) bool {
 	if !t.due(t.cfg.PreferenceEvery) {
-		return false, nil
+		return false
 	}
-	t.pref = p.Clone()
+	copy(t.pref, p)
 	t.staleness[AttrPreference] = 0
-	return true, nil
+	return true
 }
 
 // Preference returns the last collected preference snapshot.

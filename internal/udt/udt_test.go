@@ -1,6 +1,8 @@
 package udt
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"sync"
@@ -264,6 +266,7 @@ func TestMeanCQIAndLastLocation(t *testing.T) {
 // vs grouping pipeline). Run with -race.
 func TestConcurrentAccess(t *testing.T) {
 	tw := newTwin(t, Config{})
+	pref := behavior.Preference{0.4, 0.3, 0.1, 0.1, 0.1}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(3)
@@ -274,6 +277,7 @@ func TestConcurrentAccess(t *testing.T) {
 			_, _ = tw.CollectChannel(1 + i%15)
 			tw.CollectLocation(float64(i), float64(i))
 			_, _ = tw.CollectView(video.Music, 5, 0.5, true)
+			_ = tw.CollectTick(1+i%15, float64(i), float64(i), pref)
 		}
 	}()
 	go func() {
@@ -282,6 +286,8 @@ func TestConcurrentAccess(t *testing.T) {
 			_, _ = tw.FeatureWindow(16, 2000)
 			tw.MeanCQI(8)
 			tw.SwipeStats()
+			tw.Preference()
+			tw.Staleness(AttrPreference)
 		}
 	}()
 	go func() {
@@ -290,4 +296,73 @@ func TestConcurrentAccess(t *testing.T) {
 	}()
 	close(stop)
 	wg.Wait()
+}
+
+// collectSequence is the four-call tick CollectTick stands for.
+func collectSequence(tw *Twin, cqi int, x, y float64, p behavior.Preference) error {
+	tw.Tick()
+	if _, err := tw.CollectChannel(cqi); err != nil {
+		return err
+	}
+	tw.CollectLocation(x, y)
+	_, err := tw.CollectPreference(p)
+	return err
+}
+
+// CollectTick must leave a twin exactly as Tick + CollectChannel +
+// CollectLocation + CollectPreference would, due periods, staleness
+// and the early stops on invalid input included.
+func TestCollectTickMatchesSequence(t *testing.T) {
+	cfg := Config{HistoryLen: 16, ChannelEvery: 2, LocationEvery: 3, WatchEvery: 4, PreferenceEvery: 7}
+	one, four := newTwin(t, cfg), newTwin(t, cfg)
+	prefs := []behavior.Preference{
+		{0.4, 0.3, 0.1, 0.1, 0.1},
+		{0.1, 0.1, 0.1, 0.2, 0.5},
+		{0.2, 0.2, 0.2, 0.2, 0.2},
+	}
+	for tick := 0; tick < 60; tick++ {
+		cqi := 1 + tick%15
+		p := prefs[tick%len(prefs)]
+		switch tick {
+		case 17:
+			cqi = 0 // rejected after the tick
+		case 41:
+			p = behavior.Preference{1} // rejected after the location
+		}
+		x, y := float64(10*tick), float64(300-tick)
+		errOne := one.CollectTick(cqi, x, y, p)
+		errFour := collectSequence(four, cqi, x, y, p)
+		if (errOne == nil) != (errFour == nil) {
+			t.Fatalf("tick %d: CollectTick error %v, sequence error %v", tick, errOne, errFour)
+		}
+		if tick == 17 && !errors.Is(errOne, ErrParam) {
+			t.Fatalf("tick 17: want ErrParam, got %v", errOne)
+		}
+		if tick%5 == 0 {
+			for _, tw := range []*Twin{one, four} {
+				if _, err := tw.CollectView(video.Sports, float64(tick), 0.5, tick%2 == 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got, err := json.Marshal(one.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(four.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("tick %d: snapshots differ\n got %s\nwant %s", tick, got, want)
+		}
+	}
+	for _, a := range []Attribute{AttrChannel, AttrLocation, AttrWatch, AttrPreference} {
+		if one.Staleness(a) != four.Staleness(a) {
+			t.Fatalf("%v staleness %d, want %d", a, one.Staleness(a), four.Staleness(a))
+		}
+	}
+	if one.Staleness(Attribute(0)) != 0 || one.Staleness(Attribute(9)) != 0 {
+		t.Fatal("unknown attributes must report zero staleness")
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"dtmsvs/internal/stats"
 )
@@ -114,6 +115,14 @@ type Catalog struct {
 	Videos []*Video
 	zipf   *stats.Zipf
 	byCat  map[Category][]*Video
+	// ranked holds each category (by Index) in descending popularity,
+	// ties by ID; it aliases byCat wherever that is already so.
+	ranked [NumCategories][]*Video
+	// samplers draw within each non-empty category by popularity;
+	// samplerErr keeps the reason a category cannot be drawn from
+	// (its weights all underflowed to zero).
+	samplers   [NumCategories]*stats.Categorical
+	samplerErr [NumCategories]error
 }
 
 // CatalogConfig parameterizes catalog generation.
@@ -183,7 +192,36 @@ func NewCatalog(cfg CatalogConfig, rng *rand.Rand) (*Catalog, error) {
 		cat.Videos[i] = v
 		cat.byCat[v.Category] = append(cat.byCat[v.Category], v)
 	}
+	for i, c := range cats {
+		vids := cat.byCat[c]
+		cat.ranked[i] = cat.rankByPopularity(vids)
+		if len(vids) == 0 {
+			continue
+		}
+		weights := make([]float64, len(vids))
+		for j, v := range vids {
+			weights[j] = zipf.Prob(v.ID)
+		}
+		cat.samplers[i], cat.samplerErr[i] = stats.NewCategorical(weights)
+	}
 	return cat, nil
+}
+
+// rankByPopularity returns vids (in ID order) sorted by descending
+// popularity, ties by ID. Zipf probabilities fall with rank, so this
+// is vids itself unless rounding in an extreme exponent/size
+// combination makes them rise somewhere.
+func (c *Catalog) rankByPopularity(vids []*Video) []*Video {
+	for j := 1; j < len(vids); j++ {
+		if c.zipf.Prob(vids[j].ID) > c.zipf.Prob(vids[j-1].ID) {
+			out := append([]*Video(nil), vids...)
+			sort.SliceStable(out, func(a, b int) bool {
+				return c.zipf.Prob(out[a].ID) > c.zipf.Prob(out[b].ID)
+			})
+			return out
+		}
+	}
+	return vids
 }
 
 // Size returns the number of videos.
@@ -201,6 +239,18 @@ func (c *Catalog) SamplePopular(rng *rand.Rand) *Video {
 // mutate).
 func (c *Catalog) ByCategory(cat Category) []*Video { return c.byCat[cat] }
 
+// RankedByCategory returns the videos of one category in descending
+// popularity, ties by ID (shared slice; do not mutate). It equals
+// ByCategory except where rounding breaks the Zipf probabilities'
+// descent.
+func (c *Catalog) RankedByCategory(cat Category) []*Video {
+	idx := cat.Index()
+	if idx < 0 {
+		return nil
+	}
+	return c.ranked[idx]
+}
+
 // SampleFromCategory draws a popularity-weighted video within a
 // category. Returns an error if the category is empty.
 func (c *Catalog) SampleFromCategory(cat Category, rng *rand.Rand) (*Video, error) {
@@ -208,15 +258,11 @@ func (c *Catalog) SampleFromCategory(cat Category, rng *rand.Rand) (*Video, erro
 	if len(vids) == 0 {
 		return nil, fmt.Errorf("category %v empty: %w", cat, ErrParam)
 	}
-	weights := make([]float64, len(vids))
-	for i, v := range vids {
-		weights[i] = c.zipf.Prob(v.ID)
-	}
-	d, err := stats.NewCategorical(weights)
-	if err != nil {
+	idx := cat.Index()
+	if err := c.samplerErr[idx]; err != nil {
 		return nil, err
 	}
-	return vids[d.Sample(rng)], nil
+	return vids[c.samplers[idx].Sample(rng)], nil
 }
 
 // TopN returns the n most popular videos (by rank).

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"dtmsvs/internal/stats"
 )
 
 func testCatalog(t *testing.T, n int) *Catalog {
@@ -170,6 +172,71 @@ func TestSampleFromCategory(t *testing.T) {
 		if v.Category != c {
 			t.Fatalf("sampled %v from category %v", v.Category, c)
 		}
+	}
+}
+
+// The per-category samplers built once by NewCatalog must draw exactly
+// what rebuilding the popularity CDF on every draw drew, consuming the
+// same random stream, including when a steep exponent underflows a
+// category's weights to zero.
+func TestSampleFromCategoryMatchesPerDrawCDF(t *testing.T) {
+	for _, exp := range []float64{0.9, 3, 40} {
+		cat, err := NewCatalog(CatalogConfig{NumVideos: 400, ZipfExponent: exp}, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := rand.New(rand.NewSource(21)), rand.New(rand.NewSource(21))
+		for i := 0; i < 2000; i++ {
+			c := AllCategories()[i%NumCategories]
+			v, err := cat.SampleFromCategory(c, got)
+			vids := cat.ByCategory(c)
+			weights := make([]float64, len(vids))
+			for j, w := range vids {
+				weights[j] = cat.Popularity(w.ID)
+			}
+			d, derr := stats.NewCategorical(weights)
+			if (err == nil) != (derr == nil) {
+				t.Fatalf("exponent %v category %v: sampler error %v, rebuilt error %v", exp, c, err, derr)
+			}
+			if derr != nil {
+				continue
+			}
+			if w := vids[d.Sample(want)]; v != w {
+				t.Fatalf("exponent %v draw %d: video %d, want %d", exp, i, v.ID, w.ID)
+			}
+		}
+	}
+}
+
+// RankedByCategory lists each category by descending popularity with
+// ties in ID order, and is ByCategory itself when that already holds.
+func TestRankedByCategory(t *testing.T) {
+	for _, exp := range []float64{0.9, 3, 40} {
+		cat, err := NewCatalog(CatalogConfig{NumVideos: 20000, ZipfExponent: exp}, rand.New(rand.NewSource(6)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range AllCategories() {
+			ranked, byID := cat.RankedByCategory(c), cat.ByCategory(c)
+			if len(ranked) != len(byID) {
+				t.Fatalf("category %v: %d ranked, %d videos", c, len(ranked), len(byID))
+			}
+			sorted := true
+			for j := 1; j < len(ranked); j++ {
+				p, q := cat.Popularity(ranked[j-1].ID), cat.Popularity(ranked[j].ID)
+				if q > p || (q == p && ranked[j].ID < ranked[j-1].ID) {
+					t.Fatalf("exponent %v category %v: rank %d out of order", exp, c, j)
+				}
+				sorted = sorted && ranked[j].ID > ranked[j-1].ID
+			}
+			if sorted && len(ranked) > 0 && &ranked[0] != &byID[0] {
+				t.Fatalf("exponent %v category %v: ID-ordered ranking was copied", exp, c)
+			}
+		}
+	}
+	cat := testCatalog(t, 10)
+	if cat.RankedByCategory(Category(0)) != nil {
+		t.Fatal("unknown category must rank nothing")
 	}
 }
 
