@@ -48,9 +48,9 @@ func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 }
 
 // ReadState restores boundary state written by WriteState into a
-// freshly constructed engine of the identical configuration. Each
-// cell's population is rebuilt from its own checkpoint sections,
-// replacing the initial placement New performed.
+// freshly constructed engine of the identical configuration and
+// partition. Each cell's population is rebuilt from its own
+// checkpoint sections, replacing the initial placement New performed.
 func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 	d, err := cr.Section("cluster")
 	if err != nil {
@@ -124,6 +124,25 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 		if err := c.eng.ReadState(cr); err != nil {
 			return fmt.Errorf("cell %d: %w", c.id, err)
 		}
+	}
+	e.local = 0
+	for c, cell := range e.cells {
+		if e.mask[c] {
+			e.local += cell.eng.NumUsers()
+		} else if n := cell.eng.NumUsers(); n != 0 {
+			return fmt.Errorf("worker %d restore left %d twins in un-owned cell %d: %w",
+				e.index, n, c, checkpoint.ErrCorrupt)
+		}
+	}
+	want := 0
+	for _, c := range e.owner {
+		if e.mask[c] {
+			want++
+		}
+	}
+	if e.local != want {
+		return fmt.Errorf("restored %d twins into owned cells, ownership map places %d there: %w",
+			e.local, want, checkpoint.ErrCorrupt)
 	}
 	return nil
 }

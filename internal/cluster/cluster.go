@@ -12,12 +12,16 @@
 // migrates user twins — UDT state, calibration offsets and the
 // user's private random stream — to the cell of their new nearest
 // base station, and attaches each migrated twin to the multicast
-// group with the nearest code-space centroid.
+// group with the nearest code-space centroid. The pass is a plan
+// (PlanHandovers) followed by its application (ApplyHandovers); a
+// single-process engine owns every cell, so every move is local, while
+// a distributed worker is the same Engine owning one block of cells
+// (see worker.go).
 //
 // Determinism: every cell derives its random streams from (Seed,
 // tag, cell salt, ...), users own global-id-keyed streams that
-// travel with their twin, and the handover pass runs sequentially in
-// global user-id order. The merged ClusterTrace is therefore
+// travel with their twin, and handovers apply sequentially in global
+// user-id order. The merged ClusterTrace is therefore
 // bit-identical for any Parallelism and any shard count — sharding
 // is a scheduling decision, never a semantic one.
 package cluster
@@ -203,12 +207,26 @@ type Engine struct {
 	stations []*channel.BaseStation
 	catalog  *video.Catalog
 	cells    []*cellState
-	// shards[s] lists the cell ids shard s owns (contiguous blocks).
+	// shards[s] lists the owned cell ids shard s steps (contiguous
+	// blocks).
 	shards [][]int
-	// owner[id] is the cell currently holding user id's twin.
+	// owner[id] is the cell currently holding user id's twin; exact for
+	// every user living in an owned cell.
 	owner     []int
 	handovers int
 	trained   bool
+	// Ownership: New owns every cell; NewWorker restricts the engine to
+	// worker index's contiguous block. owned lists the owned cell ids
+	// in ascending order, mask[c] reports ownership of cell c, and
+	// local counts the users living in owned cells.
+	index int
+	owned []int
+	mask  []bool
+	local int
+	// Boundary buffers reused across handover passes: the plan and
+	// the id-sorted moves ApplyHandovers works through.
+	plan  []Handover
+	moves []Handover
 	// Failure model (see failure.go): the fault schedule in firing
 	// order, the response policy, the quarantine mask shared with
 	// every cell's sim engine (written only between fan-outs), and
@@ -330,9 +348,16 @@ func New(cfg Config) (*Engine, error) {
 		cells:    cells,
 		shards:   shards,
 		owner:    make([]int, d.Sim.NumUsers),
+		owned:    make([]int, numCells),
+		mask:     make([]bool, numCells),
+		local:    d.Sim.NumUsers,
 		faults:   faults,
 		down:     down,
 		retain:   true,
+	}
+	for c := range e.owned {
+		e.owned[c] = c
+		e.mask[c] = true
 	}
 
 	// Spawn the population on the pool (user creation draws only from
@@ -359,11 +384,12 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// eachCell runs fn over every cell, fanning whole shards across the
-// pool; cells within a shard run sequentially in id order. fn must
-// touch only the given cell's state. Cancellation is cooperative:
-// once ctx is done no further cell starts, and ctx.Err() is returned.
-func (e *Engine) eachCell(ctx context.Context, fn func(*cellState) error) error {
+// eachOwned runs fn over every owned cell, fanning whole shards
+// across the pool; cells within a shard run sequentially in id order.
+// fn must touch only the given cell's state. Cancellation is
+// cooperative: once ctx is done no further cell starts, and ctx.Err()
+// is returned.
+func (e *Engine) eachOwned(ctx context.Context, fn func(*cellState) error) error {
 	return e.pool.ForContext(ctx, len(e.shards), func(si int) error {
 		var firstErr error
 		for _, ci := range e.shards[si] {
@@ -378,72 +404,46 @@ func (e *Engine) eachCell(ctx context.Context, fn func(*cellState) error) error 
 	})
 }
 
-// migrate is the deterministic twin-handover pass: sequentially in
-// global user-id order, every user whose link now serves a base
-// station outside its cell is detached (UDT, calibration state and
-// random stream intact) and attached to the new station's cell. The
-// pass verifies twin conservation — no user lost or duplicated — and
-// constructs groups for cells that gained their first users after
-// training.
-func (e *Engine) migrate() error {
+// HandoverPass is the single-process boundary pass,
+// ApplyHandovers(PlanHandovers()): with every endpoint owned, each
+// move hands the twin over by pointer. It is timed by the
+// interval/handover stage. Call it after every WarmupStep and every
+// StepInterval on an engine built by New; a worker exchanges its plan
+// with its peers instead.
+func (e *Engine) HandoverPass() error {
 	t0 := e.metHandover.Start()
 	defer e.metHandover.ObserveSince(t0)
-	for id := range e.owner {
-		from := e.owner[id]
-		bs := e.cells[from].eng.ServingBSOf(id)
-		if bs < 0 {
-			return fmt.Errorf("user %d missing from cell %d: %w", id, from, ErrConfig)
-		}
-		if bs == from {
-			continue
-		}
-		if e.cells[bs].down {
-			// Links route around quarantined stations at every tick, so
-			// a handover into a dark cell means the quarantine mask and
-			// the link layer disagree — stop before the twin is lost.
-			return fmt.Errorf("user %d handed over to quarantined cell %d: %w", id, bs, ErrCellFailure)
-		}
-		mu, ok := e.cells[from].eng.DetachUser(id)
-		if !ok {
-			return fmt.Errorf("user %d not detachable from cell %d: %w", id, from, ErrConfig)
-		}
-		if err := e.cells[bs].eng.AttachUser(mu); err != nil {
-			return err
-		}
-		e.owner[id] = bs
-		e.cells[bs].migratedIn++
-		e.handovers++
-		e.metHandovers.Inc()
-	}
-	if err := e.checkConservation("handover"); err != nil {
+	plan, err := e.PlanHandovers()
+	if err != nil {
 		return err
 	}
-	return e.lateTrain()
+	return e.ApplyHandovers(plan)
 }
 
 // checkConservation verifies the twin-conservation invariant — every
-// user lives in exactly one cell — after a handover or evacuation
-// pass.
+// user of an owned cell lives in exactly one owned cell — after a
+// handover or evacuation pass.
 func (e *Engine) checkConservation(pass string) error {
 	total := 0
-	for _, c := range e.cells {
-		total += c.eng.NumUsers()
+	for _, ci := range e.owned {
+		total += e.cells[ci].eng.NumUsers()
 	}
-	if total != len(e.owner) {
+	if total != e.local {
 		return fmt.Errorf("%d twins after %s, want %d (twin lost or duplicated): %w",
-			total, pass, len(e.owner), ErrConfig)
+			total, pass, e.local, ErrConfig)
 	}
 	return nil
 }
 
-// lateTrain fits cells that gained their first users after the
+// lateTrain fits owned cells that gained their first users after the
 // cluster trained: their pipelines are still untrained, so fit them
 // on the twins that just arrived before the first construction.
 func (e *Engine) lateTrain() error {
 	if !e.trained {
 		return nil
 	}
-	for _, c := range e.cells {
+	for _, ci := range e.owned {
+		c := e.cells[ci]
 		if !c.built && c.eng.NumUsers() > 0 {
 			if err := c.eng.Train(); err != nil {
 				return fmt.Errorf("cell %d late train: %w", c.id, err)
@@ -488,14 +488,19 @@ func (e *Engine) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// Handovers reports cross-cell twin migrations so far.
+// Handovers reports cross-cell twin migrations out of owned cells so
+// far; summed across a worker partition this equals the
+// single-process count.
 func (e *Engine) Handovers() int { return e.handovers }
+
+// NumUsers returns the users currently living in owned cells.
+func (e *Engine) NumUsers() int { return e.local }
 
 // Config returns the engine's fully defaulted configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Churned reports the users replaced by churn so far, summed over all
-// cells.
+// Churned reports the users replaced by churn so far, summed over the
+// owned cells.
 func (e *Engine) Churned() int {
 	var n int
 	for _, c := range e.cells {
@@ -510,12 +515,12 @@ func (e *Engine) Churned() int {
 // returns run-level statistics with an empty Records slice.
 func (e *Engine) SetRetainRecords(retain bool) { e.retain = retain }
 
-// WarmupStep runs one warm-up interval across all cells followed by
-// the twin-handover pass, so cells train on the populations they will
-// actually serve. Call it Config.Sim.WarmupIntervals times before
-// TrainAndBuild.
+// WarmupStep runs one warm-up interval across the owned cells. The
+// boundary handover pass follows it, so cells train on the
+// populations they will actually serve. Call both
+// Config.Sim.WarmupIntervals times before TrainAndBuild.
 func (e *Engine) WarmupStep(ctx context.Context) error {
-	if err := e.eachCell(ctx, func(c *cellState) error {
+	return e.eachOwned(ctx, func(c *cellState) error {
 		if c.down || c.eng.NumUsers() == 0 {
 			return nil
 		}
@@ -523,17 +528,14 @@ func (e *Engine) WarmupStep(ctx context.Context) error {
 			return fmt.Errorf("cell %d warmup: %w", c.id, err)
 		}
 		return nil
-	}); err != nil {
-		return err
-	}
-	return e.migrate()
+	})
 }
 
-// TrainAndBuild fits every populated cell's grouping pipeline and
-// runs the initial group construction. Cells that are empty now but
-// gain users later are trained lazily by the handover pass.
+// TrainAndBuild fits every populated owned cell's grouping pipeline
+// and runs the initial group construction. Cells that are empty now
+// but gain users later are trained lazily by the handover pass.
 func (e *Engine) TrainAndBuild(ctx context.Context) error {
-	if err := e.eachCell(ctx, func(c *cellState) error {
+	if err := e.eachOwned(ctx, func(c *cellState) error {
 		if c.down || c.eng.NumUsers() == 0 {
 			return nil
 		}
@@ -552,12 +554,13 @@ func (e *Engine) TrainAndBuild(ctx context.Context) error {
 	return nil
 }
 
-// StepInterval runs one reservation interval — whole shards
-// concurrently: predict, collect, stream, abstract, churn, regroup —
-// followed by the twin-handover pass, and returns the interval's
-// merged records in (cell, group) order. Cells append into their own
-// per-interval buffers, so the concatenation in cell-id order is the
-// same (interval, cell, group) ordering the whole-run trace carries.
+// StepInterval runs one reservation interval over the owned cells —
+// whole shards concurrently: predict, collect, stream, abstract,
+// churn, regroup — and returns the interval's merged records in
+// (cell, group) order. Cells append into their own per-interval
+// buffers, so the concatenation in cell-id order is the same
+// (interval, cell, group) ordering the whole-run trace carries. The
+// boundary handover pass follows it.
 func (e *Engine) StepInterval(ctx context.Context, interval int) ([]Record, error) {
 	// Scheduled cell faults fire at the boundary, before the interval
 	// fans out: revivals restore coverage, failures quarantine the
@@ -569,7 +572,7 @@ func (e *Engine) StepInterval(ctx context.Context, interval int) ([]Record, erro
 		e.degradedIntervals++
 		e.metDegraded.Inc()
 	}
-	if err := e.eachCell(ctx, func(c *cellState) error {
+	if err := e.eachOwned(ctx, func(c *cellState) error {
 		if c.down || c.eng.NumUsers() == 0 {
 			return nil
 		}
@@ -580,11 +583,9 @@ func (e *Engine) StepInterval(ctx context.Context, interval int) ([]Record, erro
 	}); err != nil {
 		return nil, err
 	}
-	if err := e.migrate(); err != nil {
-		return nil, err
-	}
 	var out []Record
-	for _, c := range e.cells {
+	for _, ci := range e.owned {
+		c := e.cells[ci]
 		for _, r := range c.trace.Records {
 			out = append(out, Record{BS: c.id, GroupIntervalRecord: r})
 		}
@@ -611,12 +612,27 @@ func (e *Engine) Finish() *Trace {
 		DegradedIntervals: e.degradedIntervals,
 	}
 	var hits, misses int
-	for _, c := range e.cells {
+	tr.Cells, hits, misses = e.FinishStats()
+	for _, c := range tr.Cells {
+		tr.ChurnedUsers += c.ChurnedUsers
+	}
+	if total := hits + misses; total > 0 {
+		tr.CacheHitRate = float64(hits) / float64(total)
+	}
+	return tr
+}
+
+// FinishStats finalizes the owned cells and returns their end-of-run
+// statistics in cell-id order plus the raw cache counts — the whole
+// of Finish's cell statistics, or a worker's contribution to them.
+func (e *Engine) FinishStats() (cells []CellStats, hits, misses int) {
+	for _, ci := range e.owned {
+		c := e.cells[ci]
 		c.eng.FinishTrace(c.trace)
 		h, m := c.server.Cache().Counts()
 		hits += h
 		misses += m
-		tr.Cells = append(tr.Cells, CellStats{
+		cells = append(cells, CellStats{
 			BS:             c.id,
 			Users:          c.eng.NumUsers(),
 			K:              c.trace.K,
@@ -627,12 +643,8 @@ func (e *Engine) Finish() *Trace {
 			Down:           c.down,
 			EvacuatedTwins: c.evacuated,
 		})
-		tr.ChurnedUsers += c.trace.ChurnedUsers
 	}
-	if total := hits + misses; total > 0 {
-		tr.CacheHitRate = float64(hits) / float64(total)
-	}
-	return tr
+	return cells, hits, misses
 }
 
 // Run executes the sharded scenario and returns the merged trace.
@@ -649,6 +661,9 @@ func (e *Engine) RunContext(ctx context.Context) (*Trace, error) {
 		if err := e.WarmupStep(ctx); err != nil {
 			return nil, err
 		}
+		if err := e.HandoverPass(); err != nil {
+			return nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -661,6 +676,9 @@ func (e *Engine) RunContext(ctx context.Context) (*Trace, error) {
 			return nil, err
 		}
 		if _, err := e.StepInterval(ctx, interval); err != nil {
+			return nil, err
+		}
+		if err := e.HandoverPass(); err != nil {
 			return nil, err
 		}
 	}

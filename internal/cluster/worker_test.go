@@ -3,7 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dtmsvs/internal/checkpoint"
@@ -14,7 +17,7 @@ import (
 // returns the merged trace.
 func runPartitioned(t *testing.T, cfg Config, count int) *Trace {
 	t.Helper()
-	ws := make([]*Worker, count)
+	ws := make([]*Engine, count)
 	for i := range ws {
 		w, err := NewWorker(cfg, i, count)
 		if err != nil {
@@ -122,7 +125,7 @@ func TestWorkerPartitionBitIdentical(t *testing.T) {
 func TestWorkerCheckpointRoundTrip(t *testing.T) {
 	cfg := Config{Sim: testSimConfig(7, 1)}
 	const count = 2
-	ws := make([]*Worker, count)
+	ws := make([]*Engine, count)
 	for i := range ws {
 		w, err := NewWorker(cfg, i, count)
 		if err != nil {
@@ -175,7 +178,7 @@ func TestWorkerCheckpointRoundTrip(t *testing.T) {
 		step()
 	}
 
-	encode := func(w *Worker) []byte {
+	encode := func(w *Engine) []byte {
 		t.Helper()
 		var buf bytes.Buffer
 		cw := checkpoint.NewWriter(&buf, "dtworker", 0)
@@ -208,5 +211,138 @@ func TestWorkerCheckpointRoundTrip(t *testing.T) {
 	}
 	if got := encode(fresh); !bytes.Equal(got, blob) {
 		t.Fatalf("restored worker re-encodes to different bytes (%d vs %d)", len(got), len(blob))
+	}
+}
+
+// sameTrace fails the test unless got reproduces want's records, cell
+// statistics and run-level counters exactly.
+func sameTrace(t *testing.T, label string, got, want *Trace) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Records, want.Records) {
+		t.Fatalf("%s: records diverged", label)
+	}
+	if !reflect.DeepEqual(got.Cells, want.Cells) {
+		t.Fatalf("%s: cell stats diverged:\n got %+v\nwant %+v", label, got.Cells, want.Cells)
+	}
+	if got.Handovers != want.Handovers || got.ChurnedUsers != want.ChurnedUsers ||
+		got.CacheHitRate != want.CacheHitRate {
+		t.Fatalf("%s: run stats diverged: got %+v want %+v", label, got, want)
+	}
+}
+
+// TestLateTrainPartitionBitIdentical drives sparse scenarios — more
+// cells than the warm-up population fills — in which some cell is
+// still empty when the cluster trains and is trained late, by the
+// handover pass that brings its first twins. The single-process run
+// must reproduce the 2- and 4-worker partition traces bit for bit.
+func TestLateTrainPartitionBitIdentical(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		sc := testSimConfig(seed, 1)
+		sc.NumBS, sc.NumIntervals, sc.NumUsers = 8, 12, 8
+		cfg := Config{Sim: sc}
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		ctx := context.Background()
+		for w := 0; w < sc.WarmupIntervals; w++ {
+			if err := e.WarmupStep(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.HandoverPass(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.TrainAndBuild(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var unbuilt []*cellState
+		for _, c := range e.cells {
+			if !c.built {
+				unbuilt = append(unbuilt, c)
+			}
+		}
+		for interval := 0; interval < sc.NumIntervals; interval++ {
+			if _, err := e.StepInterval(ctx, interval); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.HandoverPass(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		late := 0
+		for _, c := range unbuilt {
+			if c.built {
+				late++
+			}
+		}
+		if late == 0 {
+			t.Fatalf("seed %d: no cell trained late (%d unbuilt after TrainAndBuild)", seed, len(unbuilt))
+		}
+		base := e.Finish()
+		for _, count := range []int{2, 4} {
+			sameTrace(t, fmt.Sprintf("seed %d workers %d", seed, count), runPartitioned(t, cfg, count), base)
+		}
+	}
+}
+
+// TestApplyHandoversRejectsMalformed feeds a worker moves no
+// well-formed boundary exchange produces — ApplyHandovers decodes
+// frame input — and requires a typed ErrConfig for each, never a
+// panic.
+func TestApplyHandoversRejectsMalformed(t *testing.T) {
+	cfg := Config{Sim: testSimConfig(7, 1)}
+	const count = 2
+	probe, err := NewWorker(cfg, 0, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A resident user of an owned cell and its twin bytes, and a user
+	// living on the other worker.
+	resident, elsewhere := -1, -1
+	for id, c := range probe.owner {
+		if probe.mask[c] && resident < 0 {
+			resident = id
+		}
+		if !probe.mask[c] && elsewhere < 0 {
+			elsewhere = id
+		}
+	}
+	if resident < 0 || elsewhere < 0 {
+		t.Fatalf("worker 0 partition degenerate: resident %d elsewhere %d", resident, elsewhere)
+	}
+	var enc checkpoint.Enc
+	if err := probe.cells[probe.owner[resident]].eng.EncodeUser(&enc, resident); err != nil {
+		t.Fatal(err)
+	}
+	twin := append([]byte(nil), enc.Bytes()...)
+	probe.Close()
+
+	numUsers, numCells := cfg.Sim.NumUsers, cfg.Defaulted().Sim.NumBS
+	for _, tc := range []struct {
+		name string
+		h    Handover
+		want string // identifies the rejecting check
+	}{
+		{"unknown user", Handover{ID: numUsers, From: 0, To: 1}, "unknown user"},
+		{"negative user", Handover{ID: -1, From: 0, To: 1}, "unknown user"},
+		{"out-of-range cell", Handover{ID: resident, From: 0, To: numCells}, "between cells"},
+		{"negative cell", Handover{ID: elsewhere, From: -1, To: 0}, "between cells"},
+		{"import without twin", Handover{ID: elsewhere, From: numCells - 1, To: 0}, "carries no twin"},
+		{"twin of another user", Handover{ID: elsewhere, From: numCells - 1, To: 0, Twin: twin}, "decoded twin"},
+		{"neither endpoint owned", Handover{ID: elsewhere, From: numCells - 2, To: numCells - 1}, "owning neither endpoint"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := NewWorker(cfg, 0, count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			err = w.ApplyHandovers([]Handover{tc.h})
+			if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ApplyHandovers(%+v) = %v, want ErrConfig naming %q", tc.h, err, tc.want)
+			}
+		})
 	}
 }

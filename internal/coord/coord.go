@@ -123,8 +123,13 @@ type workerHandle struct {
 	sendq      chan sendReq // ordered async sends of the live incarnation
 	lastCkpt   []byte       // last acked boundary checkpoint (resume blob before any)
 	lastBeat   time.Time    // last frame of the live incarnation
-	wk         *cluster.Worker
-	plan       []cluster.Handover // adopted: full handover plan awaiting imports
+
+	// Adopted workers only: the worker's cells in-process, their
+	// checkpoint fingerprint, and the full handover plan awaiting
+	// imports.
+	wk   *cluster.Engine
+	fp   uint64
+	plan []cluster.Handover
 
 	// Per-step state. got* flags survive recovery: a replayed worker
 	// re-sends exports and records, and the duplicates are dropped.
@@ -398,7 +403,7 @@ func (s *Supervisor) recover(h *workerHandle, cause error) error {
 	}
 	if h.restarts > budget {
 		if s.cfg.Adopt {
-			return s.adopt(h, cause)
+			return s.adopt(h)
 		}
 		return s.fail(fmt.Errorf("worker %d lost %d times (budget %d), last cause: %v: %w",
 			h.idx, h.restarts, budget, cause, ErrWorkerFailed))
@@ -420,18 +425,13 @@ func (s *Supervisor) recover(h *workerHandle, cause error) error {
 // adopt runs h's cells in-process from its last acked checkpoint —
 // graceful degradation once the restart budget is gone. The in-flight
 // boundary is replayed locally.
-func (s *Supervisor) adopt(h *workerHandle, cause error) error {
-	wk, err := cluster.NewWorker(s.cfg.Cluster, h.idx, len(s.handles))
+func (s *Supervisor) adopt(h *workerHandle) error {
+	wk, fp, err := openWorker(s.cfg.Cluster, h.idx, len(s.handles), h.lastCkpt)
 	if err != nil {
 		return s.fail(fmt.Errorf("adopt worker %d: %v: %w", h.idx, err, ErrWorkerFailed))
 	}
-	if len(h.lastCkpt) > 0 {
-		if err := restoreWorker(wk, s.cfg.Cluster, h.idx, len(s.handles), h.lastCkpt); err != nil {
-			wk.Close()
-			return s.fail(fmt.Errorf("adopt worker %d: %v: %w", h.idx, err, ErrWorkerFailed))
-		}
-	}
 	h.wk = wk
+	h.fp = fp
 	h.t = nil
 	h.conn = nil
 	if h.sendq != nil {
@@ -440,27 +440,10 @@ func (s *Supervisor) adopt(h *workerHandle, cause error) error {
 	}
 	s.adoptionsTotal++
 	s.adoptC.Inc()
-	_ = cause
 	if s.step != nil {
 		return s.runLocal(h)
 	}
 	return nil
-}
-
-// restoreWorker restores wk from a boundary checkpoint blob.
-func restoreWorker(wk *cluster.Worker, cfg cluster.Config, index, count int, blob []byte) error {
-	fp, err := WorkerFingerprint(cfg, index, count)
-	if err != nil {
-		return err
-	}
-	cr, err := checkpoint.NewReader(bytes.NewReader(blob), WorkerKind, fp)
-	if err != nil {
-		return err
-	}
-	if err := wk.ReadState(cr); err != nil {
-		return err
-	}
-	return cr.Finish()
 }
 
 // runLocal replays the in-flight boundary on an adopted worker: the
@@ -469,40 +452,17 @@ func restoreWorker(wk *cluster.Worker, cfg cluster.Config, index, count int, blo
 // already routed, the apply and boundary.
 func (s *Supervisor) runLocal(h *workerHandle) error {
 	st := s.step
-	ctx := context.Background()
-	var err error
-	switch st.ph {
-	case phaseWarmup:
-		err = h.wk.WarmupStep(ctx)
-	case phaseTrain:
-		err = h.wk.TrainAndBuild(ctx)
-	case phaseInterval:
-		var recs []cluster.Record
-		if recs, err = h.wk.StepInterval(ctx, st.n); err == nil {
-			var blob []byte
-			if blob, err = encodeRecordsStream(recs); err == nil && !h.gotRecords {
-				h.records = blob
-				h.gotRecords = true
-			}
-		}
-	case phaseCkpt:
-		// Checkpoint-only boundary: no engine work.
+	recs, plan, err := stepPhase(context.Background(), h.wk, st.ph, st.n)
+	if err == nil && st.ph == phaseInterval && !h.gotRecords {
+		h.records, err = encodeRecordsStream(recs)
+		h.gotRecords = err == nil
 	}
 	if err != nil {
-		return s.fail(fmt.Errorf("adopted worker %d %s %d: %w", h.idx, st.ph, st.n, err))
+		return s.fail(fmt.Errorf("adopted worker %d %w", h.idx, err))
 	}
-	h.plan = nil
-	if st.ph == phaseWarmup || st.ph == phaseInterval {
-		if h.plan, err = h.wk.PlanHandovers(); err != nil {
-			return s.fail(fmt.Errorf("adopted worker %d plan: %w", h.idx, err))
-		}
-	}
+	h.plan = plan
 	if !h.gotExports {
-		for _, x := range h.plan {
-			if x.Twin != nil {
-				h.exports = append(h.exports, x)
-			}
-		}
+		h.exports = exportsOf(plan)
 		h.gotExports = true
 	}
 	if st.importsRouted {
@@ -512,53 +472,29 @@ func (s *Supervisor) runLocal(h *workerHandle) error {
 }
 
 // finishLocal applies the routed imports on an adopted worker and
-// produces its boundary: counters, a fresh checkpoint, and final
-// stats on the last interval — exactly what a wire worker's boundary
-// frame carries.
+// acks its boundary — exactly what a wire worker's boundary frame
+// carries.
 func (s *Supervisor) finishLocal(h *workerHandle) error {
-	st := s.step
-	if st.ph == phaseWarmup || st.ph == phaseInterval {
-		if err := h.wk.ApplyHandovers(append(h.plan, h.imports...)); err != nil {
-			return s.fail(fmt.Errorf("adopted worker %d apply: %w", h.idx, err))
-		}
-	}
-	ckpt, err := encodeWorkerCheckpoint(h.wk, s.cfg.Cluster, h.idx, len(s.handles))
+	b, err := finishBoundary(h.wk, h.fp, s.step.ph, s.step.n, h.plan, h.imports)
 	if err != nil {
-		return s.fail(fmt.Errorf("adopted worker %d checkpoint: %w", h.idx, err))
+		return s.fail(fmt.Errorf("adopted worker %d %w", h.idx, err))
 	}
-	h.lastCkpt = ckpt
-	h.numUsers = h.wk.NumUsers()
-	h.handovers = h.wk.Handovers()
-	h.churned = h.wk.Churned()
-	if st.ph == phaseCkpt || (st.ph == phaseInterval && st.n == s.cfg.Cluster.Sim.NumIntervals-1) {
-		cells, hits, misses := h.wk.FinishStats()
-		jb, jerr := json.Marshal(workerStats{Cells: cells, Hits: hits, Misses: misses})
-		if jerr != nil {
-			return s.fail(jerr)
-		}
-		h.stats = jb
-	}
-	h.gotBoundary = true
-	h.stage.ObserveSince(h.stepStart)
+	h.ack(b)
 	return nil
 }
 
-// encodeWorkerCheckpoint captures wk as a self-contained blob, same
-// container a wire worker ships at every boundary.
-func encodeWorkerCheckpoint(wk *cluster.Worker, cfg cluster.Config, index, count int) ([]byte, error) {
-	fp, err := WorkerFingerprint(cfg, index, count)
-	if err != nil {
-		return nil, err
+// ack records a worker's boundary report and closes its boundary
+// timing.
+func (h *workerHandle) ack(b boundary) {
+	h.numUsers = b.numUsers
+	h.handovers = b.handovers
+	h.churned = b.churned
+	h.lastCkpt = b.ckpt
+	if len(b.stats) > 0 {
+		h.stats = b.stats
 	}
-	var buf bytes.Buffer
-	cw := checkpoint.NewWriter(&buf, WorkerKind, fp)
-	if err := wk.WriteState(cw); err != nil {
-		return nil, err
-	}
-	if err := cw.Finish(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	h.gotBoundary = true
+	h.stage.ObserveSince(h.stepStart)
 }
 
 // runStep drives one boundary across all workers: step out, exports
@@ -742,23 +678,13 @@ func (s *Supervisor) handleEvent(ev workerEvent) error {
 	case fBoundary:
 		d := checkpoint.NewDec(ev.payload)
 		seq := d.I64()
-		numUsers := int(d.I64())
-		handovers := int(d.I64())
-		churned := int(d.I64())
-		ckpt := d.Blob()
-		stats := d.Blob()
+		b := boundary{numUsers: int(d.I64()), handovers: int(d.I64()), churned: int(d.I64())}
+		b.ckpt = append([]byte(nil), d.Blob()...)
+		b.stats = append([]byte(nil), d.Blob()...)
 		if err := d.Close(); err != nil || seq != s.step.seq {
 			return s.recover(h, fmt.Errorf("boundary frame (seq %d, want %d): %w", seq, s.step.seq, ErrProtocol))
 		}
-		h.numUsers = numUsers
-		h.handovers = handovers
-		h.churned = churned
-		h.lastCkpt = append([]byte(nil), ckpt...)
-		if len(stats) > 0 {
-			h.stats = append([]byte(nil), stats...)
-		}
-		h.gotBoundary = true
-		h.stage.ObserveSince(h.stepStart)
+		h.ack(b)
 		return nil
 	default:
 		return s.recover(h, fmt.Errorf("frame %d from worker: %w", ev.typ, ErrProtocol))

@@ -1,6 +1,6 @@
 // Package coord is the distributed cluster coordinator: a supervisor
-// drives N worker processes, each owning a contiguous block of
-// coverage cells (cluster.Worker), through the scenario in lockstep
+// drives N worker processes, each a cluster.Engine owning a
+// contiguous block of coverage cells, through the scenario in lockstep
 // boundaries — exchanging handover-twin batches, per-interval record
 // streams and per-boundary checkpoints as length-prefixed
 // CRC32-guarded binary frames over pipes.
@@ -92,6 +92,9 @@ func (p phase) String() string {
 	}
 	return "unknown"
 }
+
+// migrates reports whether the phase ends in a handover exchange.
+func (p phase) migrates() bool { return p == phaseWarmup || p == phaseInterval }
 
 // appendFrame appends one encoded frame — [u32 len][type+payload]
 // [u32 crc] — to dst. The CRC covers the type byte and payload.

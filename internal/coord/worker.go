@@ -167,27 +167,11 @@ func RunWorkerOpts(r io.Reader, w io.Writer, opts WorkerOptions) error {
 		}
 	}()
 
-	wk, err := cluster.NewWorker(hello.Cluster, hello.Index, hello.Count)
+	wk, fp, err := openWorker(hello.Cluster, hello.Index, hello.Count, resume)
 	if err != nil {
-		return sendErrf(c, "construct worker %d/%d: %v", hello.Index, hello.Count, err)
+		return sendErrf(c, "%v", err)
 	}
 	defer wk.Close()
-	fp, err := WorkerFingerprint(hello.Cluster, hello.Index, hello.Count)
-	if err != nil {
-		return sendErrf(c, "fingerprint: %v", err)
-	}
-	if len(resume) > 0 {
-		cr, rerr := checkpoint.NewReader(bytes.NewReader(resume), WorkerKind, fp)
-		if rerr == nil {
-			rerr = wk.ReadState(cr)
-		}
-		if rerr == nil {
-			rerr = cr.Finish()
-		}
-		if rerr != nil {
-			return sendErrf(c, "restore worker %d: %v", hello.Index, rerr)
-		}
-	}
 
 	if err := c.send(fReady, nil); err != nil {
 		return err
@@ -234,9 +218,116 @@ func sendErrf(c *conn, format string, args ...any) error {
 	return err
 }
 
+// openWorker constructs worker index of count over cfg and, when
+// blob is non-empty, restores it from that boundary checkpoint. It is
+// the one construction path of wire and adopted workers, and returns
+// the fingerprint the worker's checkpoints are stamped with.
+func openWorker(cfg cluster.Config, index, count int, blob []byte) (*cluster.Engine, uint64, error) {
+	wk, err := cluster.NewWorker(cfg, index, count)
+	if err != nil {
+		return nil, 0, fmt.Errorf("construct worker %d/%d: %w", index, count, err)
+	}
+	fp, err := WorkerFingerprint(cfg, index, count)
+	if err == nil && len(blob) > 0 {
+		var cr *checkpoint.Reader
+		if cr, err = checkpoint.NewReader(bytes.NewReader(blob), WorkerKind, fp); err == nil {
+			if err = wk.ReadState(cr); err == nil {
+				err = cr.Finish()
+			}
+		}
+	}
+	if err != nil {
+		wk.Close()
+		return nil, 0, fmt.Errorf("restore worker %d: %w", index, err)
+	}
+	return wk, fp, nil
+}
+
+// encodeCheckpoint captures wk's boundary state as a self-contained
+// checkpoint blob stamped with fingerprint fp.
+func encodeCheckpoint(wk *cluster.Engine, fp uint64) ([]byte, error) {
+	var buf bytes.Buffer
+	cw := checkpoint.NewWriter(&buf, WorkerKind, fp)
+	if err := wk.WriteState(cw); err != nil {
+		return nil, err
+	}
+	if err := cw.Finish(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// stepPhase runs the engine half of one boundary on a worker — wire
+// or adopted: the phase's work, then, at migrating boundaries, the
+// handover plan. recs holds an interval boundary's records.
+func stepPhase(ctx context.Context, wk *cluster.Engine, ph phase, n int) (recs []cluster.Record, plan []cluster.Handover, err error) {
+	switch ph {
+	case phaseWarmup:
+		err = wk.WarmupStep(ctx)
+	case phaseTrain:
+		err = wk.TrainAndBuild(ctx)
+	case phaseInterval:
+		recs, err = wk.StepInterval(ctx, n)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s %d: %w", ph, n, err)
+	}
+	if ph.migrates() {
+		if plan, err = wk.PlanHandovers(); err != nil {
+			return nil, nil, fmt.Errorf("plan: %w", err)
+		}
+	}
+	return recs, plan, nil
+}
+
+// exportsOf returns the plan's moves that leave the worker: those
+// carrying the twin's wire encoding.
+func exportsOf(plan []cluster.Handover) []cluster.Handover {
+	var out []cluster.Handover
+	for _, h := range plan {
+		if h.Twin != nil {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// boundary is one worker's end-of-boundary report: what the wire
+// worker's boundary frame carries and the supervisor keeps per worker.
+type boundary struct {
+	numUsers, handovers, churned int
+	ckpt, stats                  []byte
+}
+
+// finishBoundary is the other half of one boundary on a worker: apply
+// its plan plus the routed imports, then capture the counters, a
+// fresh checkpoint and — on the final interval and every
+// checkpoint-only boundary, so a supervisor restoring into an
+// already-finished run can still assemble the trace summary — the
+// end-of-run stats.
+func finishBoundary(wk *cluster.Engine, fp uint64, ph phase, n int, plan, imports []cluster.Handover) (boundary, error) {
+	if ph.migrates() {
+		if err := wk.ApplyHandovers(append(plan, imports...)); err != nil {
+			return boundary{}, fmt.Errorf("apply: %w", err)
+		}
+	}
+	ckpt, err := encodeCheckpoint(wk, fp)
+	if err != nil {
+		return boundary{}, fmt.Errorf("checkpoint: %w", err)
+	}
+	b := boundary{numUsers: wk.NumUsers(), handovers: wk.Handovers(), churned: wk.Churned(), ckpt: ckpt}
+	if ph == phaseCkpt || (ph == phaseInterval && n == wk.Config().Sim.NumIntervals-1) {
+		cells, hits, misses := wk.FinishStats()
+		if b.stats, err = json.Marshal(workerStats{Cells: cells, Hits: hits, Misses: misses}); err != nil {
+			return boundary{}, fmt.Errorf("stats: %w", err)
+		}
+	}
+	return b, nil
+}
+
 // workerSession is the per-connection state of a running worker.
 type workerSession struct {
-	wk    *cluster.Worker
+	wk    *cluster.Engine
 	c     *conn
 	br    *bufio.Reader
 	buf   []byte
@@ -257,48 +348,23 @@ func (ws *workerSession) handleStep(payload []byte) error {
 	if err := d.Close(); err != nil {
 		return fmt.Errorf("step payload: %w", err)
 	}
+	if ph > phaseCkpt {
+		return fmt.Errorf("step phase %d: %w", ph, ErrProtocol)
+	}
 
 	if ph == phaseInterval {
 		ws.injectFaults(n)
 	}
-
-	ctx := context.Background()
-	var err error
-	switch ph {
-	case phaseWarmup:
-		err = ws.wk.WarmupStep(ctx)
-	case phaseTrain:
-		err = ws.wk.TrainAndBuild(ctx)
-	case phaseInterval:
-		var recs []cluster.Record
-		if recs, err = ws.wk.StepInterval(ctx, n); err == nil {
-			err = ws.sendRecords(seq, recs)
-		}
-	case phaseCkpt:
-		// Checkpoint-only boundary: no engine work.
-	default:
-		return fmt.Errorf("step phase %d: %w", ph, ErrProtocol)
+	recs, plan, err := stepPhase(context.Background(), ws.wk, ph, n)
+	if err == nil && ph == phaseInterval {
+		err = ws.sendRecords(seq, recs)
 	}
 	if err != nil {
-		return sendErrf(ws.c, "worker %d %s %d: %v", ws.hello.Index, ph, n, err)
-	}
-
-	migrating := ph == phaseWarmup || ph == phaseInterval
-	var plan []cluster.Handover
-	if migrating {
-		if plan, err = ws.wk.PlanHandovers(); err != nil {
-			return sendErrf(ws.c, "worker %d plan: %v", ws.hello.Index, err)
-		}
-	}
-	var exports []cluster.Handover
-	for _, h := range plan {
-		if h.Twin != nil {
-			exports = append(exports, h)
-		}
+		return sendErrf(ws.c, "worker %d %v", ws.hello.Index, err)
 	}
 	ws.enc.Reset()
 	ws.enc.I64(seq)
-	appendHandovers(&ws.enc, exports)
+	appendHandovers(&ws.enc, exportsOf(plan))
 	if err := ws.c.send(fExports, ws.enc.Bytes()); err != nil {
 		return err
 	}
@@ -307,35 +373,20 @@ func (ws *workerSession) handleStep(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if migrating {
-		if err := ws.wk.ApplyHandovers(append(plan, imports...)); err != nil {
-			return sendErrf(ws.c, "worker %d apply: %v", ws.hello.Index, err)
-		}
-	} else if len(imports) > 0 {
+	if !ph.migrates() && len(imports) > 0 {
 		return fmt.Errorf("%d imports at a %s boundary: %w", len(imports), ph, ErrProtocol)
 	}
-
-	ckpt, err := ws.encodeCheckpoint()
+	b, err := finishBoundary(ws.wk, ws.fp, ph, n, plan, imports)
 	if err != nil {
-		return sendErrf(ws.c, "worker %d checkpoint: %v", ws.hello.Index, err)
-	}
-	// Stats ride the final interval's boundary — and every
-	// checkpoint-only boundary, so a supervisor restoring into an
-	// already-finished run can still assemble the trace summary.
-	var stats []byte
-	if ph == phaseCkpt || (ph == phaseInterval && n == ws.wk.Config().Sim.NumIntervals-1) {
-		cells, hits, misses := ws.wk.FinishStats()
-		if stats, err = json.Marshal(workerStats{Cells: cells, Hits: hits, Misses: misses}); err != nil {
-			return sendErrf(ws.c, "worker %d stats: %v", ws.hello.Index, err)
-		}
+		return sendErrf(ws.c, "worker %d %v", ws.hello.Index, err)
 	}
 	ws.enc.Reset()
 	ws.enc.I64(seq)
-	ws.enc.I64(int64(ws.wk.NumUsers()))
-	ws.enc.I64(int64(ws.wk.Handovers()))
-	ws.enc.I64(int64(ws.wk.Churned()))
-	ws.enc.Blob(ckpt)
-	ws.enc.Blob(stats)
+	ws.enc.I64(int64(b.numUsers))
+	ws.enc.I64(int64(b.handovers))
+	ws.enc.I64(int64(b.churned))
+	ws.enc.Blob(b.ckpt)
+	ws.enc.Blob(b.stats)
 	return ws.c.send(fBoundary, ws.enc.Bytes())
 }
 
@@ -429,18 +480,4 @@ func (ws *workerSession) awaitImports(seq int64) ([]cluster.Handover, error) {
 			return nil, fmt.Errorf("frame %d while awaiting imports: %w", typ, ErrProtocol)
 		}
 	}
-}
-
-// encodeCheckpoint captures the worker's boundary state as a
-// self-contained checkpoint blob.
-func (ws *workerSession) encodeCheckpoint() ([]byte, error) {
-	var buf bytes.Buffer
-	cw := checkpoint.NewWriter(&buf, WorkerKind, ws.fp)
-	if err := ws.wk.WriteState(cw); err != nil {
-		return nil, err
-	}
-	if err := cw.Finish(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

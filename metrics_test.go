@@ -143,6 +143,19 @@ func TestSessionMetricsSnapshot(t *testing.T) {
 				if snap.Family("dtmsvs_handovers_total") == nil {
 					t.Fatal("cluster run missing handover counter")
 				}
+				// The counter tracks the trace, and the handover pass runs
+				// once per warm-up and once per interval boundary.
+				handovers := s.(*ClusterSession).Trace().Handovers
+				if handovers == 0 {
+					t.Fatal("cluster run handed over no twins; the counter check is vacuous")
+				}
+				if got := counterValue(t, reg, "dtmsvs_handovers_total"); got != float64(handovers) {
+					t.Fatalf("handovers_total = %v, trace has %d", got, handovers)
+				}
+				d := sessionTestConfig(33, 2).Defaulted()
+				if got, want := byStage["interval/handover"], uint64(d.WarmupIntervals+d.NumIntervals); got != want {
+					t.Fatalf("interval/handover count = %d, want %d warm-up + interval boundaries", got, want)
+				}
 			} else if len(cells) != 0 {
 				t.Fatalf("monolithic run has cell labels %v", cells)
 			}

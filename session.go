@@ -683,13 +683,21 @@ func (a *clusterStepper) churned() int         { return a.eng.Churned() }
 func (a *clusterStepper) cellsDown() int       { return a.eng.CellsDown() }
 func (a *clusterStepper) evacuated() int       { return a.eng.EvacuatedTwins() }
 
-func (a *clusterStepper) warmupStep(ctx context.Context) error { return a.eng.WarmupStep(ctx) }
+func (a *clusterStepper) warmupStep(ctx context.Context) error {
+	if err := a.eng.WarmupStep(ctx); err != nil {
+		return err
+	}
+	return a.eng.HandoverPass()
+}
 
 func (a *clusterStepper) trainAndBuild(ctx context.Context) error { return a.eng.TrainAndBuild(ctx) }
 
 func (a *clusterStepper) stepInterval(ctx context.Context, interval int) ([]TraceRecord, error) {
 	recs, err := a.eng.StepInterval(ctx, interval)
 	if err != nil {
+		return nil, err
+	}
+	if err := a.eng.HandoverPass(); err != nil {
 		return nil, err
 	}
 	out := make([]TraceRecord, len(recs))
